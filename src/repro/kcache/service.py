@@ -331,14 +331,14 @@ def _entry_payload(workload, config, spec, winner_label: str, *, optimize: bool 
     return artifacts, hashes
 
 
-def _provenance_metrics(workload, config, spec, result) -> dict:
+def _provenance_metrics(workload, config, cycles, gflops, efficiency) -> dict:
     """Cycles plus compulsory-traffic provenance for the meta document."""
     from repro.errors import ReproError
 
     metrics = {
-        "cycles": float(result.cycles),
-        "gflops": float(result.gflops(spec)),
-        "efficiency": float(result.efficiency(spec)),
+        "cycles": float(cycles),
+        "gflops": float(gflops),
+        "efficiency": float(efficiency),
     }
     try:
         resources = workload.resources(config)
@@ -363,7 +363,9 @@ def _build_direct(publish, key, workload, name, config, spec, gpu_key, *, max_cy
         gpu=gpu_key,
         config=config,
         kernel_hashes=hashes,
-        metrics=_provenance_metrics(workload, config, spec, result),
+        metrics=_provenance_metrics(
+            workload, config, result.cycles, result.gflops(spec), result.efficiency(spec)
+        ),
         extra={
             "tune_mode": "direct",
             "winner_schedule": _schedule_dict(config),
@@ -376,8 +378,11 @@ def _build_tuned(
     publish, store, key, workload, name, config, spec, gpu_key,
     *, max_cycles, keep_within, workers, warm_start, space,
 ):
-    """Cold-miss path with tuning: warm-started sweep over the problem size."""
-    from repro.opt.autotune import simulate_one_block
+    """Cold-miss path with tuning: warm-started sweep over the problem size.
+
+    The winner's cycles come from its sweep outcome rather than a second
+    simulation; the regenerated kernel must hash to what the sweep measured.
+    """
     from repro.tile.autotune import run_generative_sweep
 
     space_field = _SPACE_FIELD.get(name)
@@ -411,9 +416,15 @@ def _build_tuned(
     artifacts, hashes = _entry_payload(
         workload, candidate.config, spec, winner.label, optimize=candidate.optimize
     )
-    measured = artifacts.get("kernel_opt") or artifacts["kernel"]
-    result = simulate_one_block(spec, measured, max_cycles=max_cycles)
-    metrics = _provenance_metrics(workload, candidate.config, spec, result)
+    measured = hashes["kernel_opt" if candidate.optimize else "kernel"]
+    if measured != winner.kernel_hash:
+        raise KernelCacheError(
+            f"sweep winner {winner.label!r} regenerated as kernel {measured[:12]}, "
+            f"not the measured {winner.kernel_hash[:12]}, for {key!r}"
+        )
+    metrics = _provenance_metrics(
+        workload, candidate.config, winner.cycles, winner.gflops, winner.efficiency
+    )
     metrics.update(
         sweep_candidates=float(sweep.prune.total),
         sweep_pruned=float(len(sweep.prune.pruned)),

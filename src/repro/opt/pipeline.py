@@ -171,8 +171,11 @@ class PassPipeline:
         context = PassContext(gpu=self._gpu, options=dict(self._options))
         stats: list[PassStats] = []
         current = kernel
+        # Each boundary is analysed once: a pass's "after" report is the next
+        # pass's "before" report.
+        after_conflicts = analyse_ffma_conflicts(current)
         for pipeline_pass in self._passes:
-            before_conflicts = analyse_ffma_conflicts(current)
+            before_conflicts = after_conflicts
             before_registers = current.register_count
             with trace_span(
                 f"opt.{pipeline_pass.name}", category="opt", kernel=kernel.name

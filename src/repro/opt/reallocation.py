@@ -38,17 +38,13 @@ FFMA conflict count — the pipeline therefore never regresses a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields
 
-from repro.arch.register_file import (
-    _BANK_CODE_BY_RESIDUE,
-    RegisterBank,
-    register_bank,
-)
+from repro.arch.register_file import _BANK_CODE_BY_RESIDUE, register_bank
 from repro.errors import RegisterAllocationError
 from repro.isa.assembler import Kernel
 from repro.isa.instructions import Instruction, MemRef, Opcode, Register
-from repro.isa.registers import MAX_GPR_INDEX
+from repro.isa.registers import MAX_GPR_INDEX, RZ_INDEX
 from repro.opt.rewrite import replace_instructions
 from repro.sgemm.conflict_analysis import ConflictReport, analyse_ffma_conflicts
 
@@ -154,9 +150,11 @@ def _used_registers(instructions: tuple[Instruction, ...]) -> set[int]:
     """Every general-purpose register index the kernel touches."""
     used: set[int] = set()
     for instruction in instructions:
-        for register in instruction.registers_written + instruction.registers_read:
-            if not register.is_zero:
-                used.add(register.index)
+        for register in instruction.registers_written:
+            used.add(register.index)
+        for register in instruction.registers_read:
+            used.add(register.index)
+    used.discard(RZ_INDEX)
     return used
 
 
@@ -179,14 +177,17 @@ def _conflict_tuples(
 # Phase 1: bank-signature assignment.                                   #
 # --------------------------------------------------------------------- #
 
-_ALL_BANKS = tuple(RegisterBank)
+#: One canonical offset per bank (EVEN0, ODD0, EVEN1, ODD1): all a
+#: singleton's signature needs.
+_SINGLETON_OFFSETS = (0, 1, 4, 5)
 
 
-def _bank_capacities(max_register: int) -> dict[RegisterBank, int]:
-    """Number of physical indices available per bank in [0, max_register]."""
-    capacities = {bank: 0 for bank in _ALL_BANKS}
+def _bank_capacities(max_register: int) -> list[int]:
+    """Physical indices in [0, max_register] per bank code (see
+    :data:`repro.arch.register_file._BANK_CODE_BY_RESIDUE`)."""
+    capacities = [0, 0, 0, 0]
     for index in range(max_register + 1):
-        capacities[register_bank(index)] += 1
+        capacities[_BANK_CODE_BY_RESIDUE[index % 8]] += 1
     return capacities
 
 
@@ -207,167 +208,283 @@ class _Unit:
     def is_run(self) -> bool:
         return len(self.registers) > 1
 
-    def __post_init__(self) -> None:
-        self._position = {reg: i for i, reg in enumerate(self.registers)}
 
-    def bank_of(self, register: int, offset: int | None = None) -> RegisterBank:
-        """Bank of ``register`` when the unit sits at ``offset`` (mod 8)."""
-        base = self.offset if offset is None else offset
-        return register_bank((base + self._position[register]) % 8)
-
-
-def _tuple_penalty(banks: list[RegisterBank]) -> int:
-    """Conflict penalty of one instruction's distinct sources: degree - 1.
-
-    The solver inlines this computation in its hot loops; this helper states
-    the rule and serves the cold paths.
-    """
-    counts: dict[RegisterBank, int] = {}
-    for bank in banks:
-        counts[bank] = counts.get(bank, 0) + 1
-    return max(counts.values()) - 1 if counts else 0
+def _penalty(counts: list[int], weight: int) -> int:
+    """Weighted conflict penalty of one tuple from its per-bank counts:
+    ``(degree - 1) × weight``."""
+    worst = max(counts)
+    return (worst - 1) * weight if worst > 1 else 0
 
 
 class _BankSolver:
-    """Deterministic local search over unit bank signatures."""
+    """Deterministic local search over unit bank signatures.
+
+    The search state is scored incrementally.  Every conflict tuple keeps
+    its per-bank register counts and its current penalty, and the solver
+    keeps the per-bank demand of the constrained units; moving a unit
+    updates only the tuples it belongs to.  The gains of single-unit moves
+    are cached per unit and dropped only for the units that share a tuple
+    with a moved unit — the only ones whose gains a move can change.
+    Every gain is the exact integer a from-scratch rescoring gives, and the
+    scans keep their order and their strict ``>`` tie-breaking, so the
+    search applies the same moves, in the same order, as re-scoring every
+    unit at every step would.
+    """
 
     def __init__(
         self,
         units: list[_Unit],
         tuples: dict[tuple[int, ...], int],
-        capacities: dict[RegisterBank, int],
+        capacities: list[int],
     ) -> None:
         self._units = units
-        self._tuples = tuples
         self._capacities = capacities
-        self._unit_of: dict[int, _Unit] = {}
-        for unit in units:
-            for register in unit.registers:
-                self._unit_of[register] = unit
-        self._tuples_of: dict[int, list[tuple[int, ...]]] = {}
-        for regs in tuples:
-            for register in regs:
-                self._tuples_of.setdefault(register, []).append(regs)
-        # Static per-tuple membership: (unit, position-in-unit) per register,
-        # and the de-duplicated tuple list around each unit.  The penalty
-        # loops below run ~100k times during the local search; resolving
-        # unit/position once keeps them to integer arithmetic.
-        self._members: dict[tuple[int, ...], list[tuple[_Unit, int]]] = {
-            regs: [(self._unit_of[r], self._unit_of[r]._position[r]) for r in regs]
-            for regs in tuples
-        }
-        self._around: dict[int, list[tuple[tuple[int, ...], int, list[tuple[_Unit, int]]]]] = {}
-        for unit in units:
-            seen: set[tuple[int, ...]] = set()
-            entries = []
-            for register in unit.registers:
-                for regs in self._tuples_of.get(register, ()):
-                    if regs in seen:
-                        continue
-                    seen.add(regs)
-                    entries.append((regs, tuples[regs], self._members[regs]))
-            self._around[id(unit)] = entries
+        self._tuple_keys = list(tuples)
+        self._weights = list(tuples.values())
+        unit_of: dict[int, int] = {}
+        position_of: dict[int, int] = {}
+        for index, unit in enumerate(units):
+            for position, register in enumerate(unit.registers):
+                unit_of[register] = index
+                position_of[register] = position
+        #: (unit index, position in unit) of every register of every tuple.
+        self._members = [
+            [(unit_of[r], position_of[r]) for r in regs] for regs in self._tuple_keys
+        ]
+        #: Per unit: (tuple index, positions of the unit's registers in it).
+        self._around: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in units]
+        for t, members in enumerate(self._members):
+            positions: dict[int, list[int]] = {}
+            for u, position in members:
+                positions.setdefault(u, []).append(position)
+            for u, unit_positions in positions.items():
+                self._around[u].append((t, tuple(unit_positions)))
+        #: Units sharing a tuple with each unit (itself included).
+        self._neighbours: list[set[int]] = [{u} for u in range(len(units))]
+        for members in self._members:
+            shared = {u for u, _ in members}
+            for u in shared:
+                self._neighbours[u] |= shared
+        # Weight-0 singletons (bookkeeping registers that never feed a
+        # bank-sensitive instruction) are flexible: phase 2 places them in
+        # whatever slots remain, so they consume no capacity here.  Runs
+        # always count — their contiguity pins them to concrete banks.
+        self._constrained = [unit.is_run or unit.weight > 0 for unit in units]
 
-    def _penalty_around(self, unit: _Unit, offset: int | None = None) -> int:
-        """Weighted penalty of all tuples touching ``unit`` (at ``offset``)."""
-        base = unit.offset if offset is None else offset
+        self._counts = [self._counts_from_scratch(members) for members in self._members]
+        self._penalties = [
+            _penalty(counts, weight) for counts, weight in zip(self._counts, self._weights)
+        ]
+        self._total = sum(self._penalties)
         codes = _BANK_CODE_BY_RESIDUE
-        total = 0
-        for _, weight, members in self._around[id(unit)]:
-            counts = [0, 0, 0, 0]
-            for member, position in members:
-                member_base = base if member is unit else member.offset
-                counts[codes[(member_base + position) % 8]] += 1
-            worst = max(counts)
-            if worst > 1:
-                total += (worst - 1) * weight
-        return total
+        self._demand = [0, 0, 0, 0]
+        for u, unit in enumerate(units):
+            if self._constrained[u]:
+                for position in range(len(unit.registers)):
+                    self._demand[codes[(unit.offset + position) % 8]] += 1
+        # Per-unit caches, invalidated when a neighbour moves: penalty of the
+        # unit's tuples at each residue, and its improving single moves.
+        self._at: list[list[int] | dict[int, int] | None] = [None] * len(units)
+        self._moves: list[list[tuple[int, int]] | None] = [None] * len(units)
+        # (u, v) -> (tuple, u's positions, v's positions) they share.
+        self._shared: dict[tuple[int, int], list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = {}
+
+    # -- scoring ---------------------------------------------------------- #
 
     def total_penalty(self) -> int:
+        """Weighted conflict penalty of the current signatures, from scratch."""
+        return sum(self.tuple_penalties_from_scratch().values())
+
+    def tuple_penalties_from_scratch(self) -> dict[tuple[int, ...], int]:
+        """Penalty of every conflict tuple, recomputed from unit offsets."""
+        return {
+            regs: _penalty(self._counts_from_scratch(members), weight)
+            for regs, members, weight in zip(self._tuple_keys, self._members, self._weights)
+        }
+
+    def _counts_from_scratch(self, members: list[tuple[int, int]]) -> list[int]:
+        """Per-bank register counts of one tuple at the current offsets."""
+        counts = [0, 0, 0, 0]
+        for u, position in members:
+            counts[_BANK_CODE_BY_RESIDUE[(self._units[u].offset + position) % 8]] += 1
+        return counts
+
+    def tuple_penalties(self) -> dict[tuple[int, ...], int]:
+        """Penalty of every conflict tuple as the search maintains it."""
+        return dict(zip(self._tuple_keys, self._penalties))
+
+    def _run_penalties(self, u: int) -> dict[int, int]:
+        """Penalty of run ``u``'s tuples with the run at each offset it may
+        take (and its current one), in one pass."""
         codes = _BANK_CODE_BY_RESIDUE
-        total = 0
-        for regs, weight in self._tuples.items():
-            counts = [0, 0, 0, 0]
-            for member, position in self._members[regs]:
-                counts[codes[(member.offset + position) % 8]] += 1
+        unit = self._units[u]
+        offsets = set(unit.allowed_offsets) | {unit.offset}
+        totals = dict.fromkeys(offsets, 0)
+        for t, positions in self._around[u]:
+            rest = self._counts[t][:]
+            for position in positions:
+                rest[codes[(unit.offset + position) % 8]] -= 1
+            weight = self._weights[t]
+            for offset in offsets:
+                counts = rest[:]
+                for position in positions:
+                    counts[codes[(offset + position) % 8]] += 1
+                worst = max(counts)
+                if worst > 1:
+                    totals[offset] += (worst - 1) * weight
+        return totals
+
+    def _bank_penalties(self, u: int) -> list[int]:
+        """Penalty of singleton ``u``'s tuples with it on each bank, in one pass."""
+        codes = _BANK_CODE_BY_RESIDUE
+        own = codes[self._units[u].offset % 8]
+        totals = [0, 0, 0, 0]
+        for t, _ in self._around[u]:
+            counts = self._counts[t][:]
+            counts[own] -= 1
+            rest = max(counts)
+            weight = self._weights[t]
+            for code in range(4):
+                worst = max(counts[code] + 1, rest)
+                if worst > 1:
+                    totals[code] += (worst - 1) * weight
+        return totals
+
+    def _penalty_at(self, u: int, offset: int) -> int:
+        """Penalty of unit ``u``'s tuples with it at ``offset`` (cached)."""
+        at = self._at[u]
+        if len(self._units[u].registers) == 1:
+            # Only a singleton's bank matters.
+            if at is None:
+                at = self._at[u] = self._bank_penalties(u)
+            return at[_BANK_CODE_BY_RESIDUE[offset % 8]]
+        if at is None:
+            at = self._at[u] = self._run_penalties(u)
+        return at[offset]
+
+    def _single_moves(self, u: int) -> list[tuple[int, int]]:
+        """(offset, gain) of every strictly improving re-signing of ``u``."""
+        moves = self._moves[u]
+        if moves is None:
+            moves = []
+            current = self._penalty_at(u, self._units[u].offset)
+            if current:
+                unit = self._units[u]
+                # Runs sweep their alignment-legal signatures; singletons
+                # only need one canonical offset per bank.
+                offsets = unit.allowed_offsets if unit.is_run else _SINGLETON_OFFSETS
+                for offset in offsets:
+                    if offset != unit.offset:
+                        gain = current - self._penalty_at(u, offset)
+                        if gain > 0:
+                            moves.append((offset, gain))
+            self._moves[u] = moves
+        return moves
+
+    # -- state updates ---------------------------------------------------- #
+
+    def _set_offset(self, u: int, offset: int) -> None:
+        """Re-sign unit ``u``, updating its tuples' counts and the demand."""
+        unit = self._units[u]
+        old = unit.offset
+        if old == offset:
+            return
+        codes = _BANK_CODE_BY_RESIDUE
+        penalties = self._penalties
+        weights = self._weights
+        for t, positions in self._around[u]:
+            counts = self._counts[t]
+            for position in positions:
+                counts[codes[(old + position) % 8]] -= 1
+                counts[codes[(offset + position) % 8]] += 1
             worst = max(counts)
-            if worst > 1:
-                total += (worst - 1) * weight
-        return total
+            penalty = (worst - 1) * weights[t] if worst > 1 else 0
+            self._total += penalty - penalties[t]
+            penalties[t] = penalty
+        if self._constrained[u]:
+            demand = self._demand
+            for position in range(len(unit.registers)):
+                demand[codes[(old + position) % 8]] -= 1
+                demand[codes[(offset + position) % 8]] += 1
+        unit.offset = offset
 
-    def _demand(self) -> dict[RegisterBank, int]:
-        """Per-bank demand of the *constrained* units only.
+    def _move(self, u: int, offset: int) -> None:
+        """Apply a move for good: re-sign and drop the stale neighbour caches."""
+        self._set_offset(u, offset)
+        for v in self._neighbours[u]:
+            self._at[v] = None
+            self._moves[v] = None
 
-        Weight-0 singletons (bookkeeping registers that never feed a
-        bank-sensitive instruction) are flexible: phase 2 places them in
-        whatever slots remain, so they do not consume capacity here.  Runs
-        always count — their contiguity pins them to concrete banks.
-        """
-        demand = {bank: 0 for bank in _ALL_BANKS}
-        for unit in self._units:
-            if not unit.is_run and unit.weight == 0:
-                continue
-            for register in unit.registers:
-                demand[unit.bank_of(register)] += 1
-        return demand
+    def _fits(self, *moves: tuple[int, int]) -> bool:
+        """Whether re-signing (unit, offset) ``moves`` keeps every bank in
+        capacity.  Flexible units (weight-0 singletons, e.g. one side of a
+        swap) are absent from the demand and move freely."""
+        codes = _BANK_CODE_BY_RESIDUE
+        demand = self._demand[:]
+        for u, offset in moves:
+            if self._constrained[u]:
+                base = self._units[u].offset
+                for position in range(len(self._units[u].registers)):
+                    demand[codes[(base + position) % 8]] -= 1
+                    demand[codes[(offset + position) % 8]] += 1
+        return all(need <= room for need, room in zip(demand, self._capacities))
 
-    def _fits(self, unit: _Unit, offset: int) -> bool:
-        """Whether moving ``unit`` to ``offset`` keeps every bank in capacity."""
-        demand = self._demand()
-        for register in unit.registers:
-            demand[unit.bank_of(register)] -= 1
-        for position in range(len(unit.registers)):
-            demand[register_bank((offset + position) % 8)] += 1
-        return all(demand[bank] <= self._capacities[bank] for bank in _ALL_BANKS)
+    # -- move evaluation -------------------------------------------------- #
 
-    def _swap_fits(self, first: _Unit, second: _Unit) -> bool:
-        """Capacity check for a signature swap (matters when one side is
-        flexible — a weight-0 singleton — and thus absent from demand)."""
-        first.offset, second.offset = second.offset, first.offset
-        demand = self._demand()
-        fits = all(demand[bank] <= self._capacities[bank] for bank in _ALL_BANKS)
-        first.offset, second.offset = second.offset, first.offset
-        return fits
-
-    def _swap_gain(self, first: _Unit, second: _Unit) -> int:
+    def _swap_gain(self, u: int, v: int) -> int:
         """Penalty reduction from exchanging the signatures of two units."""
-        before = self._penalty_around(first) + self._penalty_around_excluding(second, first)
-        first.offset, second.offset = second.offset, first.offset
-        after = self._penalty_around(first) + self._penalty_around_excluding(second, first)
-        first.offset, second.offset = second.offset, first.offset
-        return before - after
+        first, second = self._units[u].offset, self._units[v].offset
+        gain = (
+            self._penalty_at(u, first) - self._penalty_at(u, second)
+            + self._penalty_at(v, second) - self._penalty_at(v, first)
+        )
+        if v in self._neighbours[u]:
+            gain += self._shared_correction(u, v)
+        return gain
 
-    def _penalty_around_excluding(self, unit: _Unit, excluded: _Unit) -> int:
-        """Like :meth:`_penalty_around` but skipping tuples already counted."""
-        excluded_tuples: set[tuple[int, ...]] = set()
-        for register in excluded.registers:
-            excluded_tuples.update(self._tuples_of.get(register, ()))
+    def _shared_correction(self, u: int, v: int) -> int:
+        """What scoring a swap as two separate re-signings miscounts.
+
+        Only the tuples holding both units are miscounted; on each the true
+        penalty after the swap replaces the two one-sided ones.
+        """
+        shared = self._shared.get((u, v))
+        if shared is None:
+            positions_of_v = dict(self._around[v])
+            shared = self._shared[u, v] = [
+                (t, positions, positions_of_v[t])
+                for t, positions in self._around[u]
+                if t in positions_of_v
+            ]
         codes = _BANK_CODE_BY_RESIDUE
-        total = 0
-        for regs, weight, members in self._around[id(unit)]:
-            if regs in excluded_tuples:
-                continue
-            counts = [0, 0, 0, 0]
-            for member, position in members:
-                counts[codes[(member.offset + position) % 8]] += 1
-            worst = max(counts)
-            if worst > 1:
-                total += (worst - 1) * weight
-        return total
+        first, second = self._units[u].offset, self._units[v].offset
+        correction = 0
+        for t, positions_u, positions_v in shared:
+            weight = self._weights[t]
+            moved_u = self._counts[t][:]
+            for position in positions_u:
+                moved_u[codes[(first + position) % 8]] -= 1
+                moved_u[codes[(second + position) % 8]] += 1
+            moved_v = self._counts[t][:]
+            both = moved_u[:]
+            for position in positions_v:
+                for counts in (moved_v, both):
+                    counts[codes[(second + position) % 8]] -= 1
+                    counts[codes[(first + position) % 8]] += 1
+            correction += (
+                _penalty(moved_u, weight) + _penalty(moved_v, weight)
+                - self._penalties[t] - _penalty(both, weight)
+            )
+        return correction
 
-    def _partners_of(self, unit: _Unit) -> list[_Unit]:
-        """Singleton units sharing a conflict tuple with ``unit`` (weight-desc)."""
-        partners: dict[int, _Unit] = {}
-        for register in unit.registers:
-            for regs in self._tuples_of.get(register, ()):
-                for other_register in regs:
-                    other = self._unit_of[other_register]
-                    if other is not unit and not other.is_run:
-                        partners[id(other)] = other
-        return sorted(partners.values(), key=lambda u: (-u.weight, u.registers))
+    def _partners_of(self, u: int) -> list[int]:
+        """Singleton units sharing a conflict tuple with ``u`` (weight-desc)."""
+        units = self._units
+        partners = [v for v in self._neighbours[u] if v != u and not units[v].is_run]
+        return sorted(partners, key=lambda v: (-units[v].weight, units[v].registers))
 
-    def _composite_gain(self, unit: _Unit, offset: int) -> tuple[int, list[tuple[_Unit, int]]]:
-        """Gain from moving ``unit`` to ``offset`` with partner adaptation.
+    def _composite_gain(self, u: int, offset: int) -> tuple[int, list[tuple[int, int]]]:
+        """Gain from moving unit ``u`` to ``offset`` with partner adaptation.
 
         Moving a run often trades one conflict for another *unless* the
         singletons it shares tuples with (e.g. FFMA accumulators) re-pick
@@ -375,29 +492,32 @@ class _BankSolver:
         re-pick of every singleton partner, which escapes the plateaus a
         one-unit-at-a-time search cannot cross.
         """
-        before = self.total_penalty()
-        saved = [(unit, unit.offset)] + [(p, p.offset) for p in self._partners_of(unit)]
-        plan: list[tuple[_Unit, int]] = []
-        if not self._fits(unit, offset):
+        if not self._fits((u, offset)):
             return 0, []
-        unit.offset = offset
-        plan.append((unit, offset))
-        for partner in self._partners_of(unit):
-            best_offset = partner.offset
-            best_penalty = self._penalty_around(partner)
-            for candidate in (0, 1, 4, 5):
-                if candidate == partner.offset:
+        before = self._total
+        saved = [(u, self._units[u].offset)]
+        self._set_offset(u, offset)
+        plan = [(u, offset)]
+        codes = _BANK_CODE_BY_RESIDUE
+        for partner in self._partners_of(u):
+            current = self._units[partner].offset
+            penalties = self._bank_penalties(partner)
+            best_offset = current
+            best_penalty = penalties[codes[current % 8]]
+            for candidate in _SINGLETON_OFFSETS:
+                if candidate == current:
                     continue
-                penalty = self._penalty_around(partner, candidate)
-                if penalty < best_penalty and self._fits(partner, candidate):
+                penalty = penalties[codes[candidate]]
+                if penalty < best_penalty and self._fits((partner, candidate)):
                     best_penalty = penalty
                     best_offset = candidate
-            if best_offset != partner.offset:
-                partner.offset = best_offset
+            if best_offset != current:
+                saved.append((partner, current))
+                self._set_offset(partner, best_offset)
                 plan.append((partner, best_offset))
-        gain = before - self.total_penalty()
-        for moved, original in saved:
-            moved.offset = original
+        gain = before - self._total
+        for moved, original in reversed(saved):
+            self._set_offset(moved, original)
         return gain, plan
 
     def solve(self, max_moves: int = 256) -> None:
@@ -411,67 +531,67 @@ class _BankSolver:
         strictly reduces the weighted conflict penalty, so the search
         terminates.
         """
-        movable = [unit for unit in self._units if any(r in self._tuples_of for r in unit.registers)]
-        swappable = [unit for unit in self._units]
+        units = self._units
+        movable = [u for u in range(len(units)) if self._around[u]]
+        by_length: dict[int, list[int]] = {}
+        for v, unit in enumerate(units):
+            by_length.setdefault(len(unit.registers), []).append(v)
         for _ in range(max_moves):
             best_gain = 0
-            best_move: tuple[_Unit, int] | None = None
-            for unit in movable:
-                current = self._penalty_around(unit)
+            best_move: tuple[int, int] | None = None
+            for u in movable:
+                for offset, gain in self._single_moves(u):
+                    if gain > best_gain and self._fits((u, offset)):
+                        best_gain = gain
+                        best_move = (u, offset)
+            if best_move is not None:
+                self._move(*best_move)
+                continue
+
+            best_swap: tuple[int, int] | None = None
+            for u in movable:
+                unit = units[u]
+                current = self._penalty_at(u, unit.offset)
                 if current == 0:
                     continue
-                # Runs sweep their alignment-legal signatures; singletons only
-                # need one canonical offset per bank (0/1/4/5).
-                offsets = unit.allowed_offsets if unit.is_run else (0, 1, 4, 5)
-                for offset in offsets:
-                    if offset == unit.offset:
+                for v in by_length[len(unit.registers)]:
+                    other = units[v]
+                    if (
+                        v == u
+                        or other.offset == unit.offset
+                        or other.offset not in unit.allowed_offsets
+                        or unit.offset not in other.allowed_offsets
+                        # A swap can at best clear both units' penalties.
+                        or current + self._penalty_at(v, other.offset) <= best_gain
+                    ):
                         continue
-                    gain = current - self._penalty_around(unit, offset)
-                    if gain > best_gain and self._fits(unit, offset):
+                    gain = self._swap_gain(u, v)
+                    if gain > best_gain and self._fits((u, other.offset), (v, unit.offset)):
                         best_gain = gain
-                        best_move = (unit, offset)
-            if best_move is not None:
-                unit, offset = best_move
-                unit.offset = offset
-                continue
-
-            best_swap: tuple[_Unit, _Unit] | None = None
-            for unit in movable:
-                if self._penalty_around(unit) == 0:
-                    continue
-                for other in swappable:
-                    if other is unit or len(other.registers) != len(unit.registers):
-                        continue
-                    if other.offset == unit.offset:
-                        continue
-                    if other.offset not in unit.allowed_offsets:
-                        continue
-                    if unit.offset not in other.allowed_offsets:
-                        continue
-                    gain = self._swap_gain(unit, other)
-                    if gain > best_gain and self._swap_fits(unit, other):
-                        best_gain = gain
-                        best_swap = (unit, other)
+                        best_swap = (u, v)
             if best_swap is not None:
-                first, second = best_swap
-                first.offset, second.offset = second.offset, first.offset
+                u, v = best_swap
+                first, second = units[u].offset, units[v].offset
+                self._move(u, second)
+                self._move(v, first)
                 continue
 
-            best_plan: list[tuple[_Unit, int]] | None = None
-            for unit in movable:
-                if not unit.is_run or self._penalty_around(unit) == 0:
+            best_plan: list[tuple[int, int]] | None = None
+            for u in movable:
+                unit = units[u]
+                if not unit.is_run or self._penalty_at(u, unit.offset) == 0:
                     continue
                 for offset in unit.allowed_offsets:
                     if offset == unit.offset:
                         continue
-                    gain, plan = self._composite_gain(unit, offset)
+                    gain, plan = self._composite_gain(u, offset)
                     if gain > best_gain:
                         best_gain = gain
                         best_plan = plan
             if best_plan is None:
                 return
-            for unit, offset in best_plan:
-                unit.offset = offset
+            for u, offset in best_plan:
+                self._move(u, offset)
 
 
 # --------------------------------------------------------------------- #
@@ -540,44 +660,65 @@ def _assign_indices(
 # --------------------------------------------------------------------- #
 
 
-def _rename_register(register: Register, mapping: dict[int, int]) -> Register:
-    if register.is_zero:
-        return register
-    new_index = mapping.get(register.index, register.index)
-    if new_index == register.index:
-        return register
-    return Register(new_index)
+#: Instruction's dataclass fields, copied by :func:`_rename`.
+_INSTRUCTION_FIELDS = tuple(field.name for field in fields(Instruction))
+
+
+def _register_table(mapping: dict[int, int]) -> dict[int, Register]:
+    """The renamed register of every index ``mapping`` actually moves (RZ
+    never moves)."""
+    return {
+        old: Register(new)
+        for old, new in mapping.items()
+        if old != new and old != RZ_INDEX
+    }
+
+
+def _rename(instruction: Instruction, table: dict[int, Register]) -> Instruction:
+    """``instruction`` with its registers renamed through a register table."""
+    changed = False
+    sources = []
+    for operand in instruction.sources:
+        if isinstance(operand, Register):
+            renamed = table.get(operand.index)
+            if renamed is not None:
+                operand = renamed
+                changed = True
+        elif isinstance(operand, MemRef):
+            renamed = table.get(operand.base.index)
+            if renamed is not None:
+                operand = MemRef(base=renamed, offset=operand.offset)
+                changed = True
+        sources.append(operand)
+    dest = instruction.dest
+    if dest is not None:
+        renamed = table.get(dest.index)
+        if renamed is not None:
+            dest = renamed
+            changed = True
+    if not changed:
+        return instruction
+    # Field by field: ``dataclasses.replace`` re-reads the field list and
+    # re-runs ``__init__`` per call, and this runs for nearly every
+    # instruction of a kernel.  ``Instruction.__post_init__`` still validates.
+    copy = object.__new__(Instruction)
+    state = copy.__dict__
+    original = instruction.__dict__
+    for name in _INSTRUCTION_FIELDS:
+        state[name] = original[name]
+    state["dest"] = dest
+    state["sources"] = tuple(sources)
+    copy.__post_init__()
+    return copy
 
 
 def rename_registers(instruction: Instruction, mapping: dict[int, int]) -> Instruction:
     """``instruction`` with every register operand renamed through ``mapping``.
 
     Returns ``instruction`` itself when no operand actually changes — the
-    identity mapping is common and ``dataclasses.replace`` is not free.
+    identity mapping is common.  RZ is never renamed.
     """
-    changed = False
-    new_sources = []
-    for operand in instruction.sources:
-        if isinstance(operand, Register):
-            renamed = _rename_register(operand, mapping)
-            changed = changed or renamed is not operand
-            new_sources.append(renamed)
-        elif isinstance(operand, MemRef):
-            base = _rename_register(operand.base, mapping)
-            if base is operand.base:
-                new_sources.append(operand)
-            else:
-                changed = True
-                new_sources.append(MemRef(base=base, offset=operand.offset))
-        else:
-            new_sources.append(operand)
-    dest = instruction.dest
-    if dest is not None:
-        dest = _rename_register(dest, mapping)
-        changed = changed or dest is not instruction.dest
-    if not changed:
-        return instruction
-    return dc_replace(instruction, dest=dest, sources=tuple(new_sources))
+    return _rename(instruction, _register_table(mapping))
 
 
 # --------------------------------------------------------------------- #
@@ -652,10 +793,19 @@ def reallocate_registers(
         # windows): keep the original kernel rather than emit a worse one.
         return ReallocationResult(kernel=kernel, mapping={}, before=before, after=before, applied=False)
 
-    renamed = tuple(rename_registers(instruction, mapping) for instruction in kernel.instructions)
+    # Unrolled code repeats equal instructions (about half of an SGEMM
+    # kernel): rename and encode each distinct one once.
+    table = _register_table(mapping)
+    renamings: dict[Instruction, Instruction] = {}
+    renamed = []
+    for instruction in kernel.instructions:
+        renaming = renamings.get(instruction)
+        if renaming is None:
+            renaming = renamings[instruction] = _rename(instruction, table)
+        renamed.append(renaming)
     candidate = replace_instructions(
         kernel,
-        renamed,
+        tuple(renamed),
         metadata_updates={"opt.reallocated": True},
     )
     after = analyse_ffma_conflicts(candidate)

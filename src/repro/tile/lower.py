@@ -297,6 +297,37 @@ class _StagePlan:
     prefetch_regs: list[Register] = field(default_factory=list)
 
 
+#: Step kinds of an instantiated compute batch (see :class:`_Batch`).
+_ASSIGN, _GUARD, _OTHER = range(3)
+
+
+@dataclass(slots=True)
+class _Batch:
+    """A compute subtree instantiated at one env by a single walk.
+
+    ``steps`` is what the subtree emits, in program order, with every loop
+    unrolled in place:
+
+    * ``(_ASSIGN, stmt, env, operands)``: for each :func:`expr_reads` leaf
+      of the value, in order, its register (a register-buffer read) or its
+      read key;
+    * ``(_GUARD, residual, bound, predicated, steps)``: a guard that is not
+      statically skipped, with its body's steps;
+    * ``(_OTHER, stmt)``: a statement a compute batch cannot hold.
+
+    ``reads`` maps every distinct loadable read of the subtree, keyed
+    ``(id(pointer), byte offset)``, to its first occurrence's
+    ``(pointer, base, offset, shared, seq)``.  ``parts`` are the batches
+    emission may recurse into: one per iteration when the subtree is a
+    single loop, the body when it is a single guard not statically skipped.
+    """
+
+    stmts: tuple[Stmt, ...]
+    steps: list[tuple]
+    reads: dict[tuple, tuple]
+    parts: list[_Batch]
+
+
 class _Lowering:
     def __init__(self, proc: Proc, *, lds_width_bits: int, ld_width_bits: int,
                  pool_size: int | None) -> None:
@@ -309,6 +340,10 @@ class _Lowering:
         self._split_cache: dict[tuple, tuple] = {}
         # id(Read) -> env-independent half of _resolve_read.
         self._resolve_cache: dict[int, tuple] = {}
+        # id(Assign) -> the Read leaves of its value.
+        self._assign_reads: dict[int, tuple[Read, ...]] = {}
+        # (id(Guard), bound values of its variables) -> _fold_guard result.
+        self._folded_guards: dict[tuple, tuple] = {}
         self._geometry = launch_geometry(proc)
         if not any(
             stmt.kind.is_thread
@@ -1027,7 +1062,18 @@ class _Lowering:
             position += 1
 
     def _fold_guard(self, stmt: Guard, env: dict[str, int]):
-        """(decision, residual): 'taken'/'skipped' when static, else 'runtime'."""
+        """(decision, residual): 'taken'/'skipped' when static, else 'runtime'.
+
+        Memoized per guard and values of its bound variables: unrolled
+        compute re-meets one guard under many envs that agree on them.
+        """
+        key = (id(stmt), tuple([env.get(var) for var, _ in stmt.expr.terms]))
+        folded = self._folded_guards.get(key)
+        if folded is None:
+            folded = self._folded_guards[key] = self._fold_guard_uncached(stmt, env)
+        return folded
+
+    def _fold_guard_uncached(self, stmt: Guard, env: dict[str, int]):
         const = stmt.expr.const
         residual: dict[str, int] = {}
         for var, coeff in stmt.expr.terms:
@@ -1694,9 +1740,14 @@ class _Lowering:
 
     def _register_element(self, buffer_name: str, index: tuple[Affine, ...],
                           env: dict[str, int]) -> Register:
-        buffer = self._proc.buffer(buffer_name)
-        coords = []
-        for expr in index:
+        shape = self._proc.buffer(buffer_name).shape
+        if len(index) != len(shape):
+            raise LoweringError(
+                f"register buffer '{buffer_name}' of rank {len(shape)} indexed "
+                f"with {len(index)} coordinates"
+            )
+        flat = 0
+        for expr, extent in zip(index, shape):
             total = expr.const
             for var, coeff in expr.terms:
                 value = env.get(var)
@@ -1706,8 +1757,11 @@ class _Lowering:
                         f"expression {expr}"
                     )
                 total += coeff * value
-            coords.append(total)
-        flat = int(np.ravel_multi_index(tuple(coords), buffer.shape))
+            if not 0 <= total < extent:
+                raise LoweringError(
+                    f"register buffer '{buffer_name}' index {total} outside [0, {extent})"
+                )
+            flat = flat * extent + total
         return self._buffer_regs[buffer_name][flat]
 
     def _scratch_address(self, pointer: _Pointer, base: Register, offset: int,
@@ -1729,39 +1783,83 @@ class _Lowering:
                 builder.imad(scratch, up, coeff, scratch)
         return scratch, offset, scratch
 
-    def _collect_reads(self, stmts: tuple[Stmt, ...], env: dict[str, int]):
-        """Unique loadable reads of a compute subtree, with use counts."""
-        found: dict[tuple, list] = {}
+    def _instantiate(self, stmts: tuple[Stmt, ...], env: dict[str, int]) -> _Batch:
+        """Walk a compute subtree once at ``env``.
 
-        def visit(stmts_: tuple[Stmt, ...], env_: dict[str, int], group: int) -> None:
-            for stmt in stmts_:
-                if isinstance(stmt, Loop):
-                    for value in range(stmt.extent):
-                        visit(stmt.body, {**env_, stmt.var: value},
-                              group if stmts_ is not stmts else value)
-                elif isinstance(stmt, Guard):
-                    if self._fold_guard(stmt, env_)[0] != "skipped":
-                        visit(stmt.body, env_, group)
-                elif isinstance(stmt, Assign):
-                    for r in expr_reads(stmt.value):
-                        resolved = self._resolve_read(r, env_)
-                        if resolved[0] != "mem":
-                            continue
-                        _, pointer, base, offset, shared, seq = resolved
-                        key = (id(pointer), offset)
-                        entry = found.setdefault(
-                            key, [pointer, base, offset, shared, seq, set()]
-                        )
-                        entry[5].add(group)
+        Unrolls every loop, folds every guard and resolves every loadable
+        read.  Emission — the pool-fit check, any per-iteration split and
+        the instruction stream — then works off this one walk.
+        """
+        steps: list[tuple] = []
+        reads: dict[tuple, tuple] = {}
+        parts: list[_Batch] = []
+        stmt = stmts[0] if len(stmts) == 1 else None
+        if isinstance(stmt, Loop):
+            # A batch that may not fit the operand pool: keep each
+            # iteration as a batch of its own to split into.
+            for value in range(stmt.extent):
+                part = self._instantiate(stmt.body, {**env, stmt.var: value})
+                parts.append(part)
+                steps += part.steps
+                for key, read_ in part.reads.items():
+                    if key not in reads:
+                        reads[key] = read_
+        elif isinstance(stmt, Guard):
+            decision, expr = self._fold_guard(stmt, env)
+            if decision != "skipped":
+                body = self._instantiate(stmt.body, env)
+                parts.append(body)
+                predicated = decision == "runtime" and id(stmt) not in self._droppable
+                steps.append((_GUARD, expr, stmt.bound, predicated, body.steps))
+                reads = body.reads
+        else:
+            self._walk(stmts, env, steps, reads)
+        return _Batch(stmts, steps, reads, parts)
 
-        visit(stmts, env, -1)
+    def _walk(self, stmts: tuple[Stmt, ...], env: dict[str, int],
+              steps: list[tuple], reads: dict[tuple, tuple]) -> None:
+        """Append a subtree's steps and first-seen reads (see :class:`_Batch`)."""
+        for stmt in stmts:
+            if isinstance(stmt, Loop):
+                for value in range(stmt.extent):
+                    self._walk(stmt.body, {**env, stmt.var: value}, steps, reads)
+            elif isinstance(stmt, Guard):
+                decision, expr = self._fold_guard(stmt, env)
+                if decision == "skipped":
+                    continue
+                body: list[tuple] = []
+                self._walk(stmt.body, env, body, reads)
+                predicated = decision == "runtime" and id(stmt) not in self._droppable
+                steps.append((_GUARD, expr, stmt.bound, predicated, body))
+            elif isinstance(stmt, Assign):
+                operands = []
+                for read_ in self._reads_of(stmt):
+                    found = self._resolve_read(read_, env)
+                    if found[0] == "reg":
+                        operands.append(found[1])
+                        continue
+                    key = (id(found[1]), found[3])
+                    operands.append(key)
+                    if key not in reads:
+                        reads[key] = found[1:]
+                steps.append((_ASSIGN, stmt, env, operands))
+            else:
+                steps.append((_OTHER, stmt))
+
+    def _reads_of(self, stmt: Assign) -> tuple[Read, ...]:
+        """The :class:`Read` leaves of an assignment's value (memoized)."""
+        found = self._assign_reads.get(id(stmt))
+        if found is None:
+            found = self._assign_reads[id(stmt)] = tuple(expr_reads(stmt.value))
         return found
 
     def _emit_compute(self, stmts: tuple[Stmt, ...], env: dict[str, int], pred) -> None:
         mark = self._pool.mark()
         self._compute_cache: dict[tuple, Register] = {}
         with self._builder.provenance("compute"):
-            self._emit_compute_rec(stmts, env, pred, self._compute_cache)
+            self._emit_compute_rec(
+                self._instantiate(stmts, env), pred, self._compute_cache
+            )
         self._pool.restore(mark)
 
     def _guard_scratch_reserve(self, stmts: tuple[Stmt, ...]) -> int:
@@ -1775,51 +1873,54 @@ class _Lowering:
                     return 1
         return 0
 
-    def _emit_compute_rec(self, stmts: tuple[Stmt, ...], env: dict[str, int], pred,
+    def _emit_compute_rec(self, batch: _Batch, pred,
                           cache: dict[tuple, Register]) -> None:
+        stmts = batch.stmts
         if len(stmts) == 1 and isinstance(stmts[0], Guard):
             # A guard heading the batch: fold it, drop it, or predicate the
             # whole batch, then keep batching its body.
-            stmt = stmts[0]
-            decision, expr = self._fold_guard(stmt, env)
-            if decision == "skipped":
+            if not batch.parts:
+                return  # statically skipped
+            _, expr, bound, predicated, _ = batch.steps[0]
+            body = batch.parts[0]
+            if not predicated:
+                self._emit_compute_rec(body, pred, cache)
                 return
-            if decision == "taken" or id(stmt) in self._droppable:
-                self._emit_compute_rec(stmt.body, env, pred, cache)
-                return
-            guard = self._compute_guard(expr, stmt.bound, pred)
+            guard = self._compute_guard(expr, bound, pred)
             self._active_guard_slots.append(guard.index)
             try:
-                self._emit_compute_rec(stmt.body, env, guard, cache)
+                self._emit_compute_rec(body, guard, cache)
             finally:
                 self._active_guard_slots.pop()
             return
-        reads = self._collect_reads(stmts, env)
-        uncached = {k: v for k, v in reads.items() if k not in cache}
+        uncached = {k: v for k, v in batch.reads.items() if k not in cache}
         budget = self._pool.free_count - self._guard_scratch_reserve(stmts)
         if len(uncached) <= budget:
             self._preload(uncached, pred, cache)
-            self._emit_compute_body(stmts, env, pred, cache)
+            self._emit_steps(batch.steps, pred, cache)
             return
         if len(stmts) != 1 or not isinstance(stmts[0], Loop):
             raise LoweringError(
                 f"compute batch needs {len(uncached)} operand registers but the pool "
                 f"holds {self._pool.free_count}; raise pool_size or split the loop"
             )
-        loop = stmts[0]
-        common = {
-            k: v for k, v in uncached.items() if len(v[5]) > 1
-        }
+        # Too many operands for one batch: preload the ones several
+        # iterations share, then batch each iteration on its own.
+        iterations = batch.parts
+        uses: dict[tuple, int] = {}
+        for iteration in iterations:
+            for key in iteration.reads:
+                uses[key] = uses.get(key, 0) + 1
+        common = {k: v for k, v in uncached.items() if uses[k] > 1}
         if len(common) > self._pool.free_count:
             raise LoweringError(
                 f"{len(common)} loop-invariant operands exceed the {self._pool.free_count}"
                 f"-register pool; raise pool_size or split the loop further"
             )
         self._preload(common, pred, cache)
-        for value in range(loop.extent):
+        for iteration in iterations:
             mark = self._pool.mark()
-            inner_cache = dict(cache)
-            self._emit_compute_rec(loop.body, {**env, loop.var: value}, pred, inner_cache)
+            self._emit_compute_rec(iteration, pred, dict(cache))
             self._pool.restore(mark)
 
     def _preload(self, reads: dict, pred, cache: dict[tuple, Register]) -> None:
@@ -1828,11 +1929,11 @@ class _Lowering:
         ordered = sorted(reads.items(), key=lambda item: (item[1][0].key, item[1][2]))
         position = 0
         while position < len(ordered):
-            key, (pointer, base, offset, shared, seq, _) = ordered[position]
+            key, (pointer, base, offset, shared, seq) = ordered[position]
             paired = None
             wide = self._wide_shared if shared else self._wide_global
             if wide and position + 1 < len(ordered):
-                next_key, (next_pointer, _, next_offset, _, _, _) = ordered[position + 1]
+                next_key, (next_pointer, _, next_offset, _, _) = ordered[position + 1]
                 if next_pointer is pointer and next_offset == offset + 4 and not (
                     pointer.scratch_seq and seq
                 ):
@@ -1867,63 +1968,43 @@ class _Lowering:
             if scratch is not None:
                 self._pool.release([scratch])
 
-    def _emit_compute_body(self, stmts: tuple[Stmt, ...], env: dict[str, int], pred,
-                           cache: dict[tuple, Register]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, Loop):
-                for value in range(stmt.extent):
-                    self._emit_compute_body(stmt.body, {**env, stmt.var: value}, pred, cache)
-            elif isinstance(stmt, Guard):
-                decision, expr = self._fold_guard(stmt, env)
-                if decision == "skipped":
+    def _emit_steps(self, steps: list[tuple], pred,
+                    cache: dict[tuple, Register]) -> None:
+        for step in steps:
+            kind = step[0]
+            if kind is _ASSIGN:
+                self._emit_assign(step[1], step[2], iter(step[3]), pred, cache)
+            elif kind is _GUARD:
+                _, expr, bound, predicated, body = step
+                if not predicated:
+                    self._emit_steps(body, pred, cache)
                     continue
-                if decision == "taken" or id(stmt) in self._droppable:
-                    self._emit_compute_body(stmt.body, env, pred, cache)
-                else:
-                    guard = self._compute_guard(expr, stmt.bound, pred)
-                    self._active_guard_slots.append(guard.index)
-                    try:
-                        self._emit_compute_body(stmt.body, env, guard, cache)
-                    finally:
-                        self._active_guard_slots.pop()
-            elif isinstance(stmt, Assign):
-                self._emit_assign(stmt, env, pred, cache)
+                guard = self._compute_guard(expr, bound, pred)
+                self._active_guard_slots.append(guard.index)
+                try:
+                    self._emit_steps(body, guard, cache)
+                finally:
+                    self._active_guard_slots.pop()
             else:
-                raise LoweringError(f"statement {stmt!r} inside a compute batch")
+                raise LoweringError(f"statement {step[1]!r} inside a compute batch")
 
-    def _operand(self, expr: Expr, env: dict[str, int], pred,
+    def _operand(self, expr: Expr, operands, pred,
                  cache: dict[tuple, Register], temps: list[Register]) -> Register:
+        """The register holding ``expr``; ``operands`` yields the batch walk's
+        resolution of each :class:`Read` leaf, in :func:`expr_reads` order."""
         builder = self._builder
         if isinstance(expr, Read):
-            resolved = self._resolve_read(expr, env)
-            if resolved[0] == "reg":
-                return resolved[1]
-            _, pointer, base, offset, shared, seq = resolved
-            key = (id(pointer), offset)
-            if key in cache:
-                return cache[key]
-            address, resolved_offset, scratch = self._scratch_address(
-                pointer, base, offset, seq
-            )
-            reg = self._pool.alloc()
-            temps.append(reg)
-            op = builder.lds if shared else builder.ld
-            if pred is not None:
-                with builder.guarded(pred):
-                    op(reg, MemRef(base=address, offset=resolved_offset), width=32)
-            else:
-                op(reg, MemRef(base=address, offset=resolved_offset), width=32)
-            if scratch is not None:
-                self._pool.release([scratch])
-            return reg
+            found = next(operands)
+            # A read key: every loadable read of a batch was preloaded.
+            return found if isinstance(found, Register) else cache[found]
         if isinstance(expr, Const):
             reg = self._pool.alloc()
             temps.append(reg)
             self._emit_predicated(lambda: builder.mov32i(reg, float(expr.value)), pred)
             return reg
         if isinstance(expr, BinOp):
-            lhs = self._operand(expr.lhs, env, pred, cache, temps)
-            rhs = self._operand(expr.rhs, env, pred, cache, temps)
+            lhs = self._operand(expr.lhs, operands, pred, cache, temps)
+            rhs = self._operand(expr.rhs, operands, pred, cache, temps)
             reg = self._pool.alloc()
             temps.append(reg)
             emit = builder.fmul if expr.op == "mul" else builder.fadd
@@ -1938,7 +2019,7 @@ class _Lowering:
         else:
             emit()
 
-    def _emit_assign(self, stmt: Assign, env: dict[str, int], pred,
+    def _emit_assign(self, stmt: Assign, env: dict[str, int], operands, pred,
                      cache: dict[tuple, Register]) -> None:
         builder = self._builder
         temps: list[Register] = []
@@ -1950,19 +2031,19 @@ class _Lowering:
             dest = self._register_element(stmt.tensor, stmt.index, env)
             value = stmt.value
             if stmt.accumulate and isinstance(value, BinOp) and value.op == "mul":
-                a = self._operand(value.lhs, env, pred, cache, temps)
-                b = self._operand(value.rhs, env, pred, cache, temps)
+                a = self._operand(value.lhs, operands, pred, cache, temps)
+                b = self._operand(value.rhs, operands, pred, cache, temps)
                 self._emit_predicated(lambda: builder.ffma(dest, a, b, dest), pred)
             elif stmt.accumulate:
-                v = self._operand(value, env, pred, cache, temps)
+                v = self._operand(value, operands, pred, cache, temps)
                 self._emit_predicated(lambda: builder.fadd(dest, dest, v), pred)
             elif isinstance(value, Const):
                 self._emit_predicated(lambda: builder.mov32i(dest, float(value.value)), pred)
             elif isinstance(value, Read):
-                src = self._operand(value, env, pred, cache, temps)
+                src = self._operand(value, operands, pred, cache, temps)
                 self._emit_predicated(lambda: builder.mov(dest, src), pred)
             else:
-                v = self._operand(value, env, pred, cache, temps)
+                v = self._operand(value, operands, pred, cache, temps)
                 self._emit_predicated(lambda: builder.mov(dest, v), pred)
         else:
             runtime, seq, unroll_affine = self._split_access(stmt.tensor, stmt.index)
@@ -1987,17 +2068,17 @@ class _Lowering:
                     lambda: load(old, MemRef(base=address, offset=offset), width=32), pred
                 )
                 if isinstance(stmt.value, BinOp) and stmt.value.op == "mul":
-                    a = self._operand(stmt.value.lhs, env, pred, cache, temps)
-                    b = self._operand(stmt.value.rhs, env, pred, cache, temps)
+                    a = self._operand(stmt.value.lhs, operands, pred, cache, temps)
+                    b = self._operand(stmt.value.rhs, operands, pred, cache, temps)
                     self._emit_predicated(lambda: builder.ffma(old, a, b, old), pred)
                 else:
-                    v = self._operand(stmt.value, env, pred, cache, temps)
+                    v = self._operand(stmt.value, operands, pred, cache, temps)
                     self._emit_predicated(lambda: builder.fadd(old, old, v), pred)
                 self._emit_predicated(
                     lambda: store(MemRef(base=address, offset=offset), old), pred
                 )
             else:
-                v = self._operand(stmt.value, env, pred, cache, temps)
+                v = self._operand(stmt.value, operands, pred, cache, temps)
                 self._emit_predicated(
                     lambda: store(MemRef(base=address, offset=offset), v), pred
                 )

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import pytest
 
+from repro.errors import KernelCacheError
 from repro.kcache import KernelStore, get_kernel, install_store, routine_key, store_session
 from repro.opt.rewrite import kernel_hash
 from repro.telemetry.metrics import metrics_session
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
 TINY = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=1)
+TINY_SPACE = {"tiles": (4, 8), "register_blockings": (2, 4),
+              "strides": (2, 4), "b_windows": (1, 2)}
 
 
 @pytest.fixture(autouse=True)
@@ -117,3 +123,62 @@ class TestTunedRequests:
         # A tuned hit afterwards is served without a sweep.
         again = get_kernel("tile_sgemm", TINY, fermi, store=store, tune=True)
         assert again.source == "hit"
+
+    def test_winner_metrics_come_from_the_sweep_without_resimulating(
+        self, tmp_path, fermi, monkeypatch
+    ):
+        autotune = importlib.import_module("repro.opt.autotune")
+        simulations = []
+        real_simulate = autotune.simulate_one_block
+
+        def counting_simulate(*args, **kwargs):
+            simulations.append(args[1])
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(autotune, "simulate_one_block", counting_simulate)
+        reply = get_kernel(
+            "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
+            tune=True, warm_start=False, space=TINY_SPACE,
+        )
+        metrics = reply.entry.meta["metrics"]
+        # One simulation per swept candidate, none for the published winner.
+        assert len(simulations) == metrics["sweep_simulated"]
+        # The published figures are the ones a fresh simulation of the served
+        # kernel gives (what the service used to re-measure).
+        fresh = real_simulate(fermi, reply.kernel)
+        assert metrics["cycles"] == float(fresh.cycles)
+        assert metrics["gflops"] == float(fresh.gflops(fermi))
+        assert metrics["efficiency"] == float(fresh.efficiency(fermi))
+        assert reply.entry.meta["kernel_hashes"]["kernel_opt"] == kernel_hash(reply.kernel)
+
+    def test_regenerated_winner_must_hash_to_the_measured_kernel(
+        self, tmp_path, fermi, monkeypatch
+    ):
+        from repro.kernels.registry import get_workload
+
+        tile_autotune = importlib.import_module("repro.tile.autotune")
+        workload = get_workload("tile_sgemm")
+        swept = []
+        real_sweep = tile_autotune.run_generative_sweep
+        real_generate = workload.generate_optimized
+
+        def sweep(*args, **kwargs):
+            report = real_sweep(*args, **kwargs)
+            swept.append(report)
+            return report
+
+        def generate_optimized(config, gpu):
+            kernel, info = real_generate(config, gpu)
+            if swept:  # the regeneration after the sweep comes out different
+                kernel = dataclasses.replace(
+                    kernel, shared_memory_bytes=kernel.shared_memory_bytes + 4
+                )
+            return kernel, info
+
+        monkeypatch.setattr(tile_autotune, "run_generative_sweep", sweep)
+        monkeypatch.setattr(workload, "generate_optimized", generate_optimized)
+        with pytest.raises(KernelCacheError, match="not the measured"):
+            get_kernel(
+                "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
+                tune=True, warm_start=False, space=TINY_SPACE,
+            )

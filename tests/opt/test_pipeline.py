@@ -65,6 +65,47 @@ class TestPipelineMechanics:
         assert reallocate.ffma_conflicts_before > 0
         assert reallocate.ffma_conflicts_after == 0
 
+    @pytest.mark.parametrize("gpu_fixture", ["fermi", "kepler"])
+    def test_stats_match_an_independent_replay(self, gpu_fixture, naive_kernel, request):
+        """Every PassStats field equals a pass-by-pass replay that analyses
+        each kernel afresh, so analysing each pass boundary once changes
+        nothing."""
+        from repro.opt.pipeline import PassContext, PassStats
+
+        gpu = request.getfixturevalue(gpu_fixture)
+        pipeline = default_pipeline(gpu)
+        result = pipeline.run(naive_kernel)
+
+        def conflicts(kernel):
+            kernel.__dict__.pop("_ffma_conflict_report", None)
+            report = analyse_ffma_conflicts(kernel)
+            return report.two_way + report.three_way
+
+        context = PassContext(gpu=gpu, options={})
+        current = naive_kernel
+        expected = []
+        for pipeline_pass in pipeline._passes:
+            transformed = pipeline_pass.run(current, context)
+            expected.append(
+                PassStats(
+                    name=pipeline_pass.name,
+                    ffma_conflicts_before=conflicts(current),
+                    ffma_conflicts_after=conflicts(transformed),
+                    register_count_before=current.register_count,
+                    register_count_after=transformed.register_count,
+                    notes={
+                        key: value
+                        for key, value in context.notes.items()
+                        if key.startswith(f"{pipeline_pass.name}.")
+                    },
+                )
+            )
+            current = transformed
+        assert result.stats == tuple(expected)
+        assert result.kernel.encoded == current.encoded
+        for earlier, later in zip(result.stats, result.stats[1:]):
+            assert earlier.ffma_conflicts_after == later.ffma_conflicts_before
+
     def test_control_hints_only_on_kepler(self, naive_kernel, fermi, kepler):
         on_fermi = optimize_kernel(naive_kernel, fermi).kernel
         on_kepler = optimize_kernel(naive_kernel, kepler).kernel
